@@ -483,6 +483,11 @@ def _command_simulate(arguments, out, error) -> int:
                 "commits": router_stats.commits,
                 "pseudo_commits": router_stats.pseudo_commits,
                 "aborts": router_stats.aborts,
+                # Union-graph walks actually run by the cross-site cycle
+                # checks (per-submit, sweep and 2PC certification).  The
+                # global dependency graph answers a check without a walk
+                # while it records no cycle-closing edge, so this stays
+                # close to cross_site_deadlock_aborts.
                 "cross_site_cycle_checks": router_stats.cross_site_cycle_checks,
                 "failures": router_stats.site_failures,
                 "recoveries": router_stats.site_recoveries,

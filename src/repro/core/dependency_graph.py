@@ -39,15 +39,22 @@ the last recorded back edge is removed the order is rebuilt from scratch.
 Every cycle contains at least one recorded edge (its last-inserted edge was
 detected as cycle-closing when added), so an empty ``_back_edges`` proves the
 graph acyclic and the fast path sound.
+
+An optional :attr:`DependencyGraph.pair_hook` reports every change in which
+``(source, target)`` pairs are linked — a pair gaining its first edge or
+losing its last — so a derived graph can be kept equal to this one edge by
+edge.  The multi-site router mirrors each site's graph into one graph keyed
+by global transaction id this way (see :mod:`repro.distributed.cycles`); the
+hook is a plain callable, so this module needs no import from there.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["EdgeKind", "Edge", "DependencyGraph"]
+__all__ = ["EdgeKind", "Edge", "DependencyGraph", "PairHook"]
 
 
 class EdgeKind(enum.Enum):
@@ -67,6 +74,11 @@ class Edge:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"T{self.source} -[{self.kind.value}]-> T{self.target}"
+
+
+#: ``hook(source, target, kind)``: the pair gained its first edge (``kind``
+#: is that edge's kind) or, with ``kind=None``, lost its last edge.
+PairHook = Callable[[int, int, Optional[EdgeKind]], None]
 
 
 class DependencyGraph:
@@ -91,11 +103,15 @@ class DependencyGraph:
         #: use a full DFS until these edges are gone (test-only territory —
         #: the scheduler checks ``creates_cycle`` before every insertion).
         self._back_edges: Set[Tuple[int, int]] = set()
-        #: Monotonic count of topology changes (edges gained or lost).  An
-        #: unchanged value guarantees the successor sets are unchanged, which
-        #: lets derived structures (the multi-site router's union-graph cycle
-        #: check) skip recomputation cheaply.
+        #: Monotonic count of topology changes (pairs linked or unlinked,
+        #: nodes removed).  An unchanged value guarantees the successor sets
+        #: are unchanged; the multi-site router's periodic cycle sweep gates
+        #: on the sum of these counters over the site graphs.
         self.mutations = 0
+        #: Optional :data:`PairHook`, called whenever a ``(source, target)``
+        #: pair gains its first edge or loses its last one.  ``None`` (the
+        #: default) costs one attribute test per pair change.
+        self.pair_hook: Optional[PairHook] = None
 
     # ------------------------------------------------------------------
     # Nodes
@@ -124,11 +140,16 @@ class DependencyGraph:
         """
         if node not in self._successors:
             return set()
+        hook = self.pair_hook
         for target in list(self._successors[node]):
             self._predecessors[target].discard(node)
+            if hook is not None:
+                hook(node, target, None)
         former_predecessors = set(self._predecessors.get(node, ()))
         for predecessor in former_predecessors:
             self._successors[predecessor].pop(node, None)
+            if hook is not None:
+                hook(predecessor, node, None)
         del self._successors[node]
         del self._predecessors[node]
         del self._ord[node]
@@ -157,6 +178,8 @@ class DependencyGraph:
             # its *first* edge; a second kind is a no-op for the order too.
             self.mutations += 1
             self._order_edge_added(source, target)
+            if self.pair_hook is not None:
+                self.pair_hook(source, target, kind)
         kinds.add(kind)
         self._predecessors[target].add(source)
 
@@ -232,6 +255,7 @@ class DependencyGraph:
             return
         was_suspended = bool(self._back_edges)
         dropped_any = False
+        hook = self.pair_hook
         for target in list(self._successors[source]):
             kinds = self._successors[source][target]
             if kind is None:
@@ -244,12 +268,32 @@ class DependencyGraph:
                 dropped_any = True
                 if was_suspended:
                     self._back_edges.discard((source, target))
+                if hook is not None:
+                    hook(source, target, None)
         if dropped_any:
             self.mutations += 1
             # The order only needs rebuilding when the graph just became
             # provably acyclic again after a cyclic episode (test-only path).
             if was_suspended and not self._back_edges:
                 self._rebuild_order()
+
+    def remove_edge(self, source: int, target: int) -> None:
+        """Unlink ``source -> target`` (every kind); a no-op when absent.
+
+        Like every removal it leaves a valid topological order valid; when
+        it drops the last recorded back edge the order is rebuilt.
+        """
+        targets = self._successors.get(source)
+        if targets is None or targets.pop(target, None) is None:
+            return
+        self._predecessors[target].discard(source)
+        self.mutations += 1
+        if self._back_edges:
+            self._back_edges.discard((source, target))
+            if not self._back_edges:
+                self._rebuild_order()
+        if self.pair_hook is not None:
+            self.pair_hook(source, target, None)
 
     def has_edge(self, source: int, target: int, kind: Optional[EdgeKind] = None) -> bool:
         kinds = self._successors.get(source, {}).get(target)
@@ -409,6 +453,14 @@ class DependencyGraph:
                     seen.add(child)
                     stack.append(child)
         return False
+
+    def back_edges(self) -> AbstractSet[Tuple[int, int]]:
+        """Read-only view of the edges recorded as cycle-closing.
+
+        Empty proves the graph acyclic (see the module docstring); non-empty
+        means it *may* be cyclic.  Do not mutate.
+        """
+        return self._back_edges
 
     def has_cycle(self) -> bool:
         """Full-graph cycle test (used by tests and the offline checkers)."""

@@ -45,15 +45,18 @@ transaction everywhere; a global commit is durable once every branch durably
 committed (branches may pseudo-commit locally and drain at different times).
 
 Cross-site cycles (deadlocks or commit-dependency cycles spanning sites,
-which no single site's graph can see) are caught two ways: a router-level
-check on the union of the per-site dependency graphs after each fan-out (the
+which no single site's graph can see) live in one global dependency graph:
+:attr:`TransactionRouter.global_graph`, keyed by global tid and kept equal to
+the union of the per-site graphs as their edges change (see
+:mod:`repro.distributed.cycles`).  Its online topological order notices every
+cycle-closing insertion, so the checks cost O(1) until one happens.  They
+are: a check after each fan-out that touched a dependency edge (the
 requester is the victim, matching the per-site victim rule), and
 :meth:`TransactionRouter.sweep_global_cycles` — run periodically from an
-engine event by the simulator — which catches cycles closed *outside* a
+engine event by the simulator — which breaks cycles closed *outside* a
 submit, e.g. by a queued request granted during another transaction's
 termination cascade (the grant can add commit-dependency edges no submit
-ever carried).  Both are gated on the per-site graphs' mutation counters so
-conflict-free stretches cost nothing.
+ever carried).
 
 With ``site_count=1`` the router is a pass-through: one site, one branch per
 transaction, no replication fan-out and no cross-site checks, reproducing the
@@ -91,6 +94,7 @@ from .site import Site, SiteStatus, _fold_stats
 
 if TYPE_CHECKING:
     from ..core.backends import ConcurrencyControlBackend
+    from ..core.dependency_graph import DependencyGraph
     from ..sim.resources import ResourceCharger
 
 __all__ = [
@@ -261,6 +265,9 @@ class RouterStatistics:
     write_unavailable_aborts: int = 0
     site_failure_aborts: int = 0
     cross_site_deadlock_aborts: int = 0
+    #: Walks of the union graph the cycle checks actually ran — per-submit,
+    #: sweep and certification alike.  A check whose global graph records
+    #: no back edge is answered without a walk and is not counted.
     cross_site_cycle_checks: int = 0
     #: Periodic union-graph sweeps that actually ran (mutation-gated).
     cycle_sweeps: int = 0
@@ -385,9 +392,10 @@ class TransactionRouter:
         #: a simulation attaches one — the router's protocol decisions never
         #: depend on it, only the timing of the physical phase does.
         self._charger: Optional["ResourceCharger"] = None
-        #: All union-graph cycle checks — the per-submit check, the periodic
-        #: sweep and the commit-time certification — plus the sweep's
-        #: monotonic mutation gate (see :mod:`repro.distributed.cycles`).
+        #: The global dependency graph and every cycle check on it — the
+        #: per-submit check, the periodic sweep and the commit-time
+        #: certification — plus the sweep's monotonic mutation gate (see
+        #: :mod:`repro.distributed.cycles`).
         self._cycles = UnionCycleDetector(self)
         self._rebind_submit()
 
@@ -445,6 +453,7 @@ class TransactionRouter:
         self._charger = None
         self.replication.reset()
         self.commit_protocol.reset()
+        # After the site resets: it watches the graphs they swapped in.
         self._cycles.reset()
         self._rebind_submit()
 
@@ -610,6 +619,7 @@ class TransactionRouter:
             gtid=self._next_gtid, label=label, home_site=home_site
         )
         self.transactions[transaction.gtid] = transaction
+        self._cycles.add_transaction(transaction.gtid)
         self.router_stats.begins += 1
         return transaction
 
@@ -661,21 +671,10 @@ class TransactionRouter:
         )
         transaction.current_request = request
         placed = self.placement.sites_for(object_name)
-        # Cross-site cycles can only be closed by a dependency edge added
-        # during this fan-out; snapshot the target graphs' mutation counters
-        # so the (comparatively expensive) union-graph DFS below can be
-        # skipped for the common conflict-free operation.  With one site no
-        # cross-site cycle can exist — skip the snapshot machinery outright.
-        if self.site_count > 1:
-            watched_graphs = [
-                self.sites[sid].scheduler.graph
-                for sid in placed
-                if self.sites[sid].status.is_up
-            ]
-            mutations_before = sum(graph.mutations for graph in watched_graphs)
-        else:
-            watched_graphs = []
-            mutations_before = 0
+        # Cross-site cycles can only be closed by a dependency edge changed
+        # during this fan-out; an unchanged pair count skips the check.
+        cycles = self._cycles
+        pair_changes = cycles.pair_changes
 
         is_read_only = read_only_ops.get(invocation.op)
         if is_read_only is None:
@@ -712,10 +711,9 @@ class TransactionRouter:
             and transaction.status is TransactionStatus.ACTIVE
             and request.branch_handles
             and not request.failed
-            and sum(graph.mutations for graph in watched_graphs) != mutations_before
+            and cycles.pair_changes != pair_changes
         ):
-            self.router_stats.cross_site_cycle_checks += 1
-            if self._cycles.closes_cycle(transaction.gtid):
+            if cycles.closes_cycle(transaction.gtid):
                 self.router_stats.cross_site_deadlock_aborts += 1
                 self._global_abort(transaction, AbortReason.DEADLOCK, request)
         return request
@@ -959,6 +957,7 @@ class TransactionRouter:
         self.commit_protocol.on_transaction_finished(transaction)
         if not self.retain_terminated:
             self.transactions.pop(transaction.gtid, None)
+        self._cycles.release(transaction.gtid)
 
     # ------------------------------------------------------------------
     # Site lifecycle
@@ -987,7 +986,7 @@ class TransactionRouter:
             and transaction.branches[site_id].generation == generation
         ]
         self._local_map[site_id].clear()
-        self._cycles.retire_graph(site.scheduler.graph.mutations)
+        self._cycles.retire_site(site)
         site.fail()
         # The fused submit binding (if any) assumed the site was up.
         self.__dict__.pop("submit", None)
@@ -1027,6 +1026,7 @@ class TransactionRouter:
         site = self.sites[site_id]
         scheduler = site.recover()
         scheduler.add_listener(self._relays[site_id])
+        self._cycles.watch(site)
         self.router_stats.site_recoveries += 1
         self.replication.on_site_recovered(site)
         # After the catch-up: recovered stamps may satisfy a held 2PC commit.
@@ -1090,6 +1090,12 @@ class TransactionRouter:
     # ------------------------------------------------------------------
     # Cross-site cycle detection (delegated to the UnionCycleDetector)
     # ------------------------------------------------------------------
+    @property
+    def global_graph(self) -> Optional["DependencyGraph"]:
+        """The union of the site graphs keyed by global tid (``None`` with a
+        single site).  Read-only for callers: the router keeps it in step."""
+        return self._cycles.graph
+
     def sweep_global_cycles(self) -> int:
         """Detect and break union-graph cycles closed outside a submit.
 

@@ -253,12 +253,14 @@ class Simulation(SchedulerListener):
 
         Cross-site cycles closed during a termination cascade (a queued
         request re-blocked when another transaction's locks drain) are
-        invisible to the per-submit check; the sweep catches them from a
-        plain engine event — a context where aborting the victim is safe —
+        invisible to the per-submit check.  The router's global dependency
+        graph records them the moment they close; the sweep breaks them from
+        a plain engine event — a context where aborting the victim is safe —
         every operation time.  The sweep is gated on the dependency graphs'
-        mutation counters, so quiet periods cost one integer sum; with one
-        site no event is ever scheduled and the centralized event stream is
-        untouched.
+        mutation counters, so quiet periods cost one integer sum, and past
+        the gate it walks the graph only while a cycle-closing edge is
+        recorded.  With one site no event is ever scheduled and the
+        centralized event stream is untouched.
         """
         if self.params.site_count <= 1:
             return

@@ -232,6 +232,30 @@ class TestSimulateCommand:
         assert payload["sites"]["failure_schedule"] == expected
         assert payload["params"]["failure_schedule"] == expected
 
+    def test_cross_site_cycle_checks_count_union_walks(self):
+        """``cross_site_cycle_checks`` counts the union-graph walks the
+        cycle checks ran.  The global dependency graph answers every check
+        at once until an edge closes a cycle, so each walk here finds one
+        and the count matches the cross-site deadlock aborts — far below
+        the number of routed operations."""
+        import json
+
+        code, text = run_cli(
+            "simulate",
+            "--database-size", "100",
+            "--mpl", "15",
+            "--completions", "150",
+            "--sites", "3",
+            "--replication", "copies",
+            "--policy", "2pl",
+            "--json",
+        )
+        assert code == 0
+        sites = json.loads(text)["sites"]
+        assert sites["cross_site_deadlock_aborts"] > 0
+        assert sites["cross_site_cycle_checks"] >= sites["cross_site_deadlock_aborts"]
+        assert sites["cross_site_cycle_checks"] < sites["begins"] // 2
+
     def test_replication_protocol_flags(self):
         import json
 

@@ -125,3 +125,82 @@ class TestCycles:
     def test_len_counts_nodes(self):
         graph = make_chain((1, 2), (2, 3))
         assert len(graph) == 3
+
+
+class TestRemoveEdge:
+    def test_removes_every_kind_of_the_pair(self):
+        graph = DependencyGraph()
+        graph.add_edge(1, 2, EdgeKind.WAIT_FOR)
+        graph.add_edge(1, 2, EdgeKind.COMMIT_DEPENDENCY)
+        graph.add_edge(1, 3, EdgeKind.WAIT_FOR)
+        graph.remove_edge(1, 2)
+        assert not graph.has_edge(1, 2)
+        assert graph.predecessors(2) == set()
+        assert graph.successors(1) == {3}
+        assert graph.nodes() == {1, 2, 3}
+
+    def test_absent_edge_is_a_noop(self):
+        graph = make_chain((1, 2))
+        before = graph.mutations
+        graph.remove_edge(2, 1)
+        graph.remove_edge(1, 9)
+        graph.remove_edge(9, 1)
+        assert graph.mutations == before
+        assert graph.has_edge(1, 2)
+
+    def test_bumps_mutations(self):
+        graph = make_chain((1, 2))
+        before = graph.mutations
+        graph.remove_edge(1, 2)
+        assert graph.mutations == before + 1
+
+    def test_removing_the_last_back_edge_rebuilds_the_order(self):
+        graph = make_chain((1, 2), (2, 3))
+        graph.add_edge(3, 1, EdgeKind.WAIT_FOR)  # closes the cycle
+        assert graph.back_edges() == {(3, 1)}
+        graph.remove_edge(1, 2)  # breaks the cycle, but (3, 1) stays recorded
+        assert graph.back_edges() == {(3, 1)}
+        graph.remove_edge(3, 1)
+        assert not graph.back_edges()
+        assert graph.order_violations() == []
+        assert graph.creates_cycle(3, {2})
+        assert not graph.creates_cycle(2, {3})
+
+
+class TestPairHook:
+    def _recorded(self):
+        graph = DependencyGraph()
+        changes = []
+        graph.pair_hook = lambda source, target, kind: changes.append((source, target, kind))
+        return graph, changes
+
+    def test_fires_on_first_edge_of_a_pair_only(self):
+        graph, changes = self._recorded()
+        graph.add_edge(1, 2, EdgeKind.WAIT_FOR)
+        graph.add_edge(1, 2, EdgeKind.COMMIT_DEPENDENCY)
+        graph.add_edge(1, 1, EdgeKind.WAIT_FOR)
+        assert changes == [(1, 2, EdgeKind.WAIT_FOR)]
+
+    def test_fires_when_a_pair_loses_its_last_edge(self):
+        graph, changes = self._recorded()
+        graph.add_edge(1, 2, EdgeKind.WAIT_FOR)
+        graph.add_edge(1, 2, EdgeKind.COMMIT_DEPENDENCY)
+        graph.add_edge(1, 3, EdgeKind.WAIT_FOR)
+        changes.clear()
+        graph.remove_edges_from(1, EdgeKind.WAIT_FOR)
+        assert changes == [(1, 3, None)]
+        graph.remove_edge(1, 2)
+        assert changes == [(1, 3, None), (1, 2, None)]
+
+    def test_remove_node_reports_both_directions(self):
+        graph, changes = self._recorded()
+        graph.add_edge(1, 2, EdgeKind.WAIT_FOR)
+        graph.add_edge(2, 3, EdgeKind.COMMIT_DEPENDENCY)
+        changes.clear()
+        graph.remove_node(2)
+        assert sorted(changes) == [(1, 2, None), (2, 3, None)]
+        graph.remove_node(4)
+        assert len(changes) == 2
+
+    def test_no_hook_by_default(self):
+        assert DependencyGraph().pair_hook is None

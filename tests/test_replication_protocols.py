@@ -585,6 +585,19 @@ class TestCycleSweep:
         assert ta.status is TransactionStatus.COMMITTED
         assert tb.status is TransactionStatus.COMMITTED
 
+    def test_late_closing_cycle_is_recorded_by_the_global_graph(self):
+        # The submit check never ran a walk, but the global graph's online
+        # order saw the cascade's edge close the cycle and recorded it.
+        router, ta, tb = self._wedge()
+        graph = router.global_graph
+        assert graph.back_edges()
+        assert graph.has_edge(ta.gtid, tb.gtid)
+        assert graph.has_edge(tb.gtid, ta.gtid)
+        assert router.sweep_global_cycles() == 1
+        assert not graph.back_edges()
+        assert not graph.has_cycle()
+        assert graph.order_violations() == []
+
     def test_sweep_aborts_the_youngest_active_cycle_member(self):
         router, ta, tb = self._wedge()
         assert router.sweep_global_cycles() == 1
